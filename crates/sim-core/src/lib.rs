@@ -7,7 +7,9 @@
 //! - [`time`]: nanosecond-resolution simulated time ([`Nanos`]) and helpers.
 //! - [`clock`]: a monotonically advancing simulation clock ([`SimClock`]).
 //! - [`rng`]: a small, seedable, deterministic random number generator
-//!   ([`DetRng`]) so that every experiment is reproducible bit-for-bit.
+//!   ([`DetRng`]) so that every experiment is reproducible bit-for-bit, and
+//!   the precomputed Zipfian rank sampler ([`Zipf`]) the skewed workload
+//!   generators draw from.
 //! - [`latency`]: latency samplers ([`LatencySampler`]) used to model device
 //!   and software-stage costs (constant, uniform, normal, log-normal and
 //!   empirical mixtures with heavy tails).
@@ -33,6 +35,6 @@ pub use latency::{
     MixtureLatency, NormalLatency, TableLatency, UniformLatency, MULTIPLIER_IDENTITY_MILLI,
     TABLE_SIZE,
 };
-pub use rng::DetRng;
+pub use rng::{DetRng, Zipf};
 pub use time::Nanos;
 pub use units::{GIB, KIB, MIB, PAGE_SHIFT, PAGE_SIZE};

@@ -156,44 +156,93 @@ impl DetRng {
         }
         -mean * u.ln()
     }
+}
 
-    /// Samples a Zipfian-distributed rank in `[0, n)` with skew `theta`.
+/// A Zipfian rank sampler over `[0, n)` with skew `theta`.
+///
+/// This is the Gray et al. sampler ("Quickly generating billion-record
+/// synthetic databases", SIGMOD '94; the one YCSB-like generators use).
+/// [`Zipf::new`] computes the normalising sum ζ(n, θ) and the derived
+/// constants once; build one sampler per trace and draw from it in the loop.
+///
+/// Costs: construction evaluates up to 1,024 `powf` (ζ is summed exactly for
+/// `n <= 1024`, and as that 1,024-term head plus an integral tail beyond);
+/// [`Zipf::sample`] is one [`DetRng::next_f64`] draw plus at most one `powf`.
+///
+/// # Examples
+///
+/// ```
+/// use leap_sim_core::rng::Zipf;
+/// use leap_sim_core::DetRng;
+///
+/// let zipf = Zipf::new(1000, 0.99);
+/// let mut rng = DetRng::seed_from(7);
+/// assert!(zipf.sample(&mut rng) < 1000);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Zipf {
+    n: usize,
+    zetan: f64,
+    /// ζ(2, θ) = 1 + 0.5^θ, also the `u · ζ(n, θ)` threshold below which the
+    /// sample is rank 1.
+    zeta2: f64,
+    alpha: f64,
+    eta: f64,
+}
+
+impl Zipf {
+    /// Precomputes the sampler for ranks `[0, n)`; `theta` is clamped to
+    /// `[0.0001, 0.9999]`.
     ///
-    /// Uses simple inverse-CDF sampling over the precomputed harmonic sum is
-    /// avoided for memory reasons; instead we use the approximation from
-    /// Gray et al. (the "quick and dirty" zipf used by YCSB-like generators).
-    pub fn zipf(&mut self, n: usize, theta: f64) -> usize {
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn new(n: usize, theta: f64) -> Self {
         assert!(n > 0, "zipf requires n > 0");
-        if n == 1 {
-            return 0;
-        }
         let theta = theta.clamp(0.0001, 0.9999);
         let zeta2 = 1.0 + 0.5f64.powf(theta);
-        let zetan = Self::zeta_approx(n, theta);
+        let zetan = zeta(n, theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
-        let u = self.next_f64();
-        let uz = u * zetan;
+        Zipf {
+            n,
+            zetan,
+            zeta2,
+            alpha,
+            eta,
+        }
+    }
+
+    /// Draws one rank in `[0, n)`, skewed towards rank 0. Consumes exactly one
+    /// [`DetRng::next_f64`], or nothing when `n == 1`.
+    pub fn sample(&self, rng: &mut DetRng) -> usize {
+        if self.n == 1 {
+            return 0;
+        }
+        let u = rng.next_f64();
+        let uz = u * self.zetan;
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(theta) {
+        if uz < self.zeta2 {
             return 1;
         }
-        let rank = (n as f64 * (eta * u - eta + 1.0).powf(alpha)) as usize;
-        rank.min(n - 1)
+        let eta = self.eta;
+        let rank = (self.n as f64 * (eta * u - eta + 1.0).powf(self.alpha)) as usize;
+        rank.min(self.n - 1)
     }
+}
 
-    fn zeta_approx(n: usize, theta: f64) -> f64 {
-        // Exact for small n, integral approximation for large n to keep the
-        // generator O(1) per sample.
-        if n <= 1024 {
-            (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
-        } else {
-            let head: f64 = (1..=1024).map(|i| 1.0 / (i as f64).powf(theta)).sum();
-            let tail = ((n as f64).powf(1.0 - theta) - 1024f64.powf(1.0 - theta)) / (1.0 - theta);
-            head + tail
-        }
+/// ζ(n, θ) = Σ_{i=1..n} i^-θ: exact for `n <= 1024`, otherwise the exact
+/// 1,024-term head plus the integral of x^-θ over `[1024, n]`. Up to 1,024
+/// `powf`, paid once per [`Zipf::new`].
+fn zeta(n: usize, theta: f64) -> f64 {
+    if n <= 1024 {
+        (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
+    } else {
+        let head: f64 = (1..=1024).map(|i| 1.0 / (i as f64).powf(theta)).sum();
+        let tail = ((n as f64).powf(1.0 - theta) - 1024f64.powf(1.0 - theta)) / (1.0 - theta);
+        head + tail
     }
 }
 
@@ -252,10 +301,11 @@ mod tests {
     #[test]
     fn zipf_is_skewed_towards_low_ranks() {
         let mut rng = DetRng::seed_from(3);
+        let zipf = Zipf::new(1000, 0.99);
         let n = 10_000;
         let mut head = 0usize;
         for _ in 0..n {
-            if rng.zipf(1000, 0.99) < 10 {
+            if zipf.sample(&mut rng) < 10 {
                 head += 1;
             }
         }
@@ -274,7 +324,7 @@ mod tests {
         #[test]
         fn prop_zipf_in_bounds(n in 1usize..5000, seed in any::<u64>()) {
             let mut rng = DetRng::seed_from(seed);
-            let v = rng.zipf(n, 0.9);
+            let v = Zipf::new(n, 0.9).sample(&mut rng);
             prop_assert!(v < n);
         }
 

@@ -21,7 +21,7 @@
 
 use crate::trace::{Access, AccessTrace};
 use leap_sim_core::units::bytes_to_pages;
-use leap_sim_core::{DetRng, Nanos};
+use leap_sim_core::{DetRng, Nanos, Zipf};
 use serde::{Deserialize, Serialize};
 
 /// Which application a model mimics.
@@ -157,6 +157,7 @@ impl AppModel {
 /// lookups.
 fn powergraph(rng: &mut DetRng, pages: u64, total: usize) -> Vec<Access> {
     let compute = Nanos::from_nanos(400);
+    let zipf = Zipf::new(pages as usize, 0.7);
     let mut out = Vec::with_capacity(total);
     let mut cursor = 0u64;
     while out.len() < total {
@@ -188,7 +189,7 @@ fn powergraph(rng: &mut DetRng, pages: u64, total: usize) -> Vec<Access> {
             // Irregular neighbour lookups: 16–128 random pages (skewed).
             let burst = rng.gen_range_u64(16, 128);
             for _ in 0..burst {
-                let p = rng.zipf(pages as usize, 0.7) as u64;
+                let p = zipf.sample(rng) as u64;
                 out.push(Access::read(p, compute));
                 if out.len() >= total {
                     break;
@@ -237,13 +238,14 @@ fn numpy(rng: &mut DetRng, pages: u64, total: usize) -> Vec<Access> {
 /// accesses end up irregular, matching §5.3.3.
 fn voltdb(rng: &mut DetRng, pages: u64, total: usize) -> Vec<Access> {
     let compute = Nanos::from_micros(2);
+    let zipf = Zipf::new(pages as usize, 0.85);
     let mut out = Vec::with_capacity(total);
     while out.len() < total {
         if rng.chance(0.92) {
             // A short transaction: 3–8 random tuple pages, some written.
             let touches = rng.gen_range_u64(3, 8);
             for _ in 0..touches {
-                let p = rng.zipf(pages as usize, 0.85) as u64;
+                let p = zipf.sample(rng) as u64;
                 let access = if rng.chance(0.3) {
                     Access::write(p, compute)
                 } else {
@@ -275,9 +277,10 @@ fn voltdb(rng: &mut DetRng, pages: u64, total: usize) -> Vec<Access> {
 /// Zipfian popularity skew (the Facebook ETC-style mix), ~5 % writes.
 fn memcached(rng: &mut DetRng, pages: u64, total: usize) -> Vec<Access> {
     let compute = Nanos::from_micros(1);
+    let zipf = Zipf::new(pages as usize, 0.99);
     let mut out = Vec::with_capacity(total);
     while out.len() < total {
-        let p = rng.zipf(pages as usize, 0.99) as u64;
+        let p = zipf.sample(rng) as u64;
         let access = if rng.chance(0.05) {
             Access::write(p, compute)
         } else {
